@@ -5,16 +5,29 @@ use crate::network::Network;
 use crate::resource::{NodeId, Resource, Site, SiteId};
 use crate::units::{MbitRate, MflopRate};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// A deployment target: a set of heterogeneous resources with a network
 /// model, as in the paper's Section 3.
 ///
 /// Node ids are dense (`0..node_count()`), assigned in insertion order.
-#[derive(Debug, Clone, PartialEq)]
+/// A platform never changes after construction, which is what lets it
+/// memoize its [`fingerprint`](Platform::fingerprint).
+#[derive(Debug, Clone)]
 pub struct Platform {
     nodes: Vec<Resource>,
     sites: Vec<Site>,
     network: Network,
+    /// [`Platform::fingerprint`], filled on its first call.
+    fingerprint: OnceLock<u64>,
+}
+
+/// Structural equality: the fingerprint memo is a cache of the other
+/// fields, so whether it is filled yet never makes two platforms differ.
+impl PartialEq for Platform {
+    fn eq(&self, other: &Platform) -> bool {
+        self.nodes == other.nodes && self.sites == other.sites && self.network == other.network
+    }
 }
 
 /// Builder for [`Platform`], enforcing name uniqueness and id density.
@@ -82,6 +95,7 @@ impl PlatformBuilder {
             nodes: self.nodes,
             sites: self.sites,
             network: self.network,
+            fingerprint: OnceLock::new(),
         })
     }
 }
@@ -189,7 +203,17 @@ impl Platform {
     /// fingerprints; a journaled tenant session uses this to refuse
     /// resuming onto a platform that changed shape under it (see the
     /// `adept-serve` journal).
+    ///
+    /// The value is memoized lazily: the first call hashes every node
+    /// (O(n)), later calls — and calls on clones made after it — return
+    /// the stored value in O(1). Journals on disk pin this exact byte
+    /// stream, so it must never change.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.hash_structure())
+    }
+
+    /// The FNV-1a pass behind [`fingerprint`](Platform::fingerprint).
+    fn hash_structure(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         struct Fnv(u64);
         impl Fnv {
@@ -283,6 +307,7 @@ impl Platform {
             nodes,
             sites: self.sites.clone(),
             network: self.network.clone(),
+            fingerprint: OnceLock::new(),
         })
     }
 }

@@ -71,9 +71,11 @@ pub struct CacheStats {
 ///
 /// The platform is identified by its structural
 /// [`fingerprint`](Platform::fingerprint) — the same identity the
-/// journal layer uses to refuse resuming on changed hardware — and the
-/// mix by its exact share/`Wapp` bit patterns (service *names* are
-/// deliberately excluded: they label reports, they never shape a plan).
+/// journal layer uses to refuse resuming on changed hardware, memoized
+/// by the platform so building a key is O(services), not O(nodes) —
+/// and the mix by its exact share/`Wapp` bit patterns (service *names*
+/// are deliberately excluded: they label reports, they never shape a
+/// plan).
 #[derive(Debug, Clone, PartialEq)]
 struct Key {
     fingerprint: u64,

@@ -256,13 +256,19 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 let state = Arc::clone(state);
-                let handle = std::thread::spawn(move || serve_connection(stream, &state));
-                workers.lock().push(handle);
+                let mut workers = workers.lock();
+                // Dropping a finished thread's handle releases it; only
+                // live connections stay tracked for `stop()` to join.
+                // Spawning under the lock tracks the new thread before
+                // it can answer anything.
+                workers.retain(|w| !w.is_finished());
+                workers.push(std::thread::spawn(move || serve_connection(stream, &state)));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => break,
+            // `WouldBlock` means no pending connection. Any other error
+            // (`ECONNABORTED` under connect churn, `EMFILE`) is transient
+            // too: ending the loop would leave a daemon that looks alive
+            // but never accepts again.
+            Err(_) => std::thread::sleep(POLL),
         }
     }
 }
@@ -580,5 +586,65 @@ fn daemon_status(state: &Arc<SharedState>) -> DaemonStatus {
         tenants,
         resume_errors,
         cache: state.cache.stats(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adept_platform::generator;
+
+    /// A connection that sends `status` and waits for the answer, so the
+    /// daemon has accepted it (and every connection queued before it).
+    fn round_trip(addr: SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"{\"id\":1,\"method\":\"status\"}\n")
+            .unwrap();
+        let mut byte = [0u8; 1];
+        let mut line = Vec::new();
+        while byte[0] != b'\n' {
+            assert_eq!(stream.read(&mut byte).unwrap(), 1, "daemon hung up");
+            line.push(byte[0]);
+        }
+        assert!(String::from_utf8_lossy(&line).contains("\"ok\":true"));
+        stream
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let dir = std::env::temp_dir().join(format!("adept-daemon-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let platform = generator::homogeneous_cluster("c", 4, adept_platform::MflopRate(100.0));
+        let handle = Daemon::start(ServeConfig::new(
+            "127.0.0.1:0",
+            &dir,
+            vec![("c".into(), platform)],
+        ))
+        .unwrap();
+        let addr = handle.addr();
+        // 200 connections opened and closed one after another, in bursts
+        // short enough for the listen backlog; each burst ends with a
+        // round trip, so the daemon has accepted all of it.
+        for _ in 0..4 {
+            for _ in 0..49 {
+                drop(TcpStream::connect(addr).unwrap());
+            }
+            drop(round_trip(addr));
+        }
+        // Their threads see EOF and exit; the next accept reaps them.
+        std::thread::sleep(POLL * 2);
+        let mut live = round_trip(addr);
+        // The live connection's handle stays tracked for `stop()`.
+        let count = handle.workers.lock().len();
+        assert!(
+            (1..=8).contains(&count),
+            "{count} connection handles tracked"
+        );
+        handle.stop();
+        // Joined, its thread has closed the daemon's end of the socket.
+        live.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(live.read(&mut [0u8; 1]).unwrap(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

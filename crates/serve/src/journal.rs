@@ -10,8 +10,10 @@
 //! The write discipline is **write-ahead**: an input record is appended
 //! and flushed *before* the controller consumes it, and the wire
 //! response is sent only after the round (and its `migration` record,
-//! if any) is durable. A daemon killed at any point therefore loses at
-//! most the one tick whose response was never acknowledged.
+//! if any) has been flushed the same way. A daemon process killed at
+//! any point therefore loses at most the one tick whose response was
+//! never acknowledged. Nothing calls `fsync`: a power loss can still
+//! lose acknowledged records the OS had not yet written out.
 //!
 //! Resume is **deterministic replay**: the whole stack underneath —
 //! planner, reviser, and GoDiet's seeded failure injection — is
