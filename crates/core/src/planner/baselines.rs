@@ -33,7 +33,7 @@ impl Planner for StarPlanner {
                 available: platform.node_count(),
             });
         }
-        Ok(builder::star(&platform.ids_by_power_desc()))
+        Ok(builder::star(platform.ids_by_power_desc()))
     }
 }
 
@@ -84,7 +84,7 @@ impl Planner for BalancedPlanner {
             });
         }
         Ok(builder::balanced_two_level(
-            &platform.ids_by_power_desc(),
+            platform.ids_by_power_desc(),
             self.mid_agents,
         ))
     }

@@ -142,21 +142,33 @@ impl HeuristicPlanner {
 
     /// Steps 1–2: nodes sorted by `calc_sch_pow` with `n_nodes − 1`
     /// children, descending. Ties break toward lower node id (stable).
-    /// The scores are computed once, batched over the flat power lane
-    /// ([`batch::sch_pow_shared_degree_into`]) — the shared degree makes
-    /// the per-node work one vectorized division — and the sort runs on
-    /// integer keys ([`batch::sort_rate_desc_id_asc`]).
+    ///
+    /// The order is derived in O(n) from the platform's memoized
+    /// [power order](Platform::ids_by_power_desc): the scores are computed
+    /// batched over the powers in that order
+    /// ([`batch::sch_pow_shared_degree_into`]), and with a non-negative
+    /// calibration `sch_pow` at a fixed degree is non-decreasing in power,
+    /// so the scores come out non-increasing. Only runs of bit-equal
+    /// scores then need re-sorting by id. An O(n) check guards the
+    /// monotonicity (callers may override [`ModelParams`] with any
+    /// calibration): if any adjacent score increases, the full keyed sort
+    /// ([`batch::sort_rate_desc_id_asc`]) runs instead, so the result is
+    /// the (score desc, id asc) order either way.
     pub fn sorted_nodes(params: &ModelParams, platform: &Platform) -> Vec<NodeId> {
         let d = platform.node_count().saturating_sub(1).max(1);
-        let powers: Vec<f64> = platform.nodes().iter().map(|r| r.power.value()).collect();
+        let order = platform.ids_by_power_desc();
+        let powers: Vec<f64> = order.iter().map(|&id| platform.power(id).value()).collect();
         let mut rates = Vec::new();
         batch::sch_pow_shared_degree_into(params, &powers, d, &mut rates);
-        let mut keyed: Vec<(f64, NodeId)> = rates
-            .into_iter()
-            .zip(platform.nodes())
-            .map(|(rate, r)| (rate, r.id))
-            .collect();
-        batch::sort_rate_desc_id_asc(&mut keyed);
+        let mut keyed: Vec<(f64, NodeId)> = rates.into_iter().zip(order.iter().copied()).collect();
+        let key = |&(rate, _): &(f64, NodeId)| batch::descending_key(rate);
+        if keyed.windows(2).all(|w| key(&w[0]) >= key(&w[1])) {
+            for run in keyed.chunk_by_mut(|a, b| key(a) == key(b)) {
+                run.sort_unstable_by_key(|&(_, id)| id);
+            }
+        } else {
+            batch::sort_rate_desc_id_asc(&mut keyed);
+        }
         keyed.into_iter().map(|(_, id)| id).collect()
     }
 }

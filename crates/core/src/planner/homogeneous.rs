@@ -52,7 +52,7 @@ impl HomogeneousCsdPlanner {
         let nodes = platform.ids_by_power_desc();
         let mut best = (1usize, f64::NEG_INFINITY);
         for d in 1..n {
-            let plan = csd_tree(&nodes, d);
+            let plan = csd_tree(nodes, d);
             let report = params.evaluate(platform, &plan, service);
             if report.rho > best.1 + 1e-12 {
                 best = (d, report.rho);
@@ -74,7 +74,7 @@ impl Planner for HomogeneousCsdPlanner {
         _demand: ClientDemand,
     ) -> Result<DeploymentPlan, PlannerError> {
         let (degree, _) = self.optimal_degree(platform, service)?;
-        Ok(csd_tree(&platform.ids_by_power_desc(), degree))
+        Ok(csd_tree(platform.ids_by_power_desc(), degree))
     }
 }
 

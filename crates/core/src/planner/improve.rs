@@ -353,7 +353,7 @@ mod tests {
         let platform = lyon_cluster(25);
         for size in [100u32, 310] {
             let svc = Dgemm::new(size).service();
-            let ids: Vec<NodeId> = platform.ids_by_power_desc();
+            let ids = platform.ids_by_power_desc();
             let bad = star(&ids[0..4]);
             let improved = rebalance(
                 &ModelParams::from_platform(&platform),
@@ -381,7 +381,7 @@ mod tests {
         // right move and must be taken.
         let platform = lyon_cluster(30);
         let svc = Dgemm::new(1000).service();
-        let ids: Vec<NodeId> = platform.ids_by_power_desc();
+        let ids = platform.ids_by_power_desc();
         let small = star(&ids[0..2]);
         let improved = rebalance(
             &ModelParams::from_platform(&platform),
@@ -400,7 +400,7 @@ mod tests {
         let platform = lyon_cluster(2);
         let svc = Dgemm::new(10).service();
         let ids = platform.ids_by_power_desc();
-        let p = star(&ids);
+        let p = star(ids);
         let improved = rebalance(
             &ModelParams::from_platform(&platform),
             &platform,
@@ -415,7 +415,7 @@ mod tests {
     fn rebalance_respects_demand() {
         let platform = lyon_cluster(30);
         let svc = Dgemm::new(1000).service();
-        let ids: Vec<NodeId> = platform.ids_by_power_desc();
+        let ids = platform.ids_by_power_desc();
         let small = star(&ids[0..3]);
         let before = rho_of(&platform, &small, &svc);
         // Demand already met by the small plan: no changes allowed.
@@ -444,7 +444,7 @@ mod tests {
         let homo = lyon_cluster(40);
         for platform in [&homo, &hetero] {
             let params = ModelParams::from_platform(platform);
-            let nodes: Vec<NodeId> = platform.ids_by_power_desc();
+            let nodes = platform.ids_by_power_desc();
             for size in [10u32, 100, 310, 1000] {
                 let svc = Dgemm::new(size).service();
                 for k in [1usize, 2, 3, 5] {

@@ -296,7 +296,8 @@ fn unused_by_power(platform: &Platform, plan: &DeploymentPlan) -> Vec<NodeId> {
     let used: HashSet<NodeId> = plan.slots().map(|s| plan.node(s)).collect();
     platform
         .ids_by_power_desc()
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|id| !used.contains(id))
         .collect()
 }

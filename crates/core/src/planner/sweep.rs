@@ -548,7 +548,7 @@ impl SweepPlanner {
             // model's.
             return self.best_plan_multi_site(platform, service, &params);
         }
-        let mut nodes = platform.ids_by_power_desc();
+        let mut nodes = platform.ids_by_power_desc().to_vec();
         self.coarsen_nodes(&params, platform, &mut nodes, service.wapp.value());
         self.best_over_nodes(&params, platform, service, &nodes)
     }
@@ -716,7 +716,7 @@ impl SweepPlanner {
         let Some((seed, _)) = best else {
             // No site seats two nodes: sweep the scalarized family and
             // re-score per-link.
-            let mut nodes = platform.ids_by_power_desc();
+            let mut nodes = platform.ids_by_power_desc().to_vec();
             self.coarsen_nodes(params, platform, &mut nodes, service.wapp.value());
             let (plan, _) = self.best_over_nodes(params, platform, service, &nodes)?;
             let rho = params.evaluate(platform, &plan, service).rho;

@@ -961,7 +961,7 @@ impl SweepPlanner {
         if params.uses_link_bandwidths(platform) {
             return self.best_mix_plan_multi_site(platform, mix, objective, &params, &candidates);
         }
-        let mut nodes = platform.ids_by_power_desc();
+        let mut nodes = platform.ids_by_power_desc().to_vec();
         self.coarsen_nodes(
             &params,
             platform,
@@ -1383,7 +1383,7 @@ impl SweepPlanner {
         let Some((seed_plan, seed_asg, _)) = best else {
             // No site seats the whole mix: sweep the scalarized family
             // and re-score per-link.
-            let mut nodes = platform.ids_by_power_desc();
+            let mut nodes = platform.ids_by_power_desc().to_vec();
             self.coarsen_nodes(params, platform, &mut nodes, mix_wapp_cap(mix, candidates));
             let scalar = ModelParams {
                 site_aware: false,
@@ -1461,7 +1461,7 @@ impl SweepPlanner {
     ) -> Option<f64> {
         let candidates: Vec<usize> = (0..mix.len()).filter(|&j| mix.share(j) > 0.0).collect();
         let params = resolve_params(self.params, platform);
-        let mut nodes = platform.ids_by_power_desc();
+        let mut nodes = platform.ids_by_power_desc().to_vec();
         self.coarsen_nodes(
             &params,
             platform,

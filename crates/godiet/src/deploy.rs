@@ -284,13 +284,13 @@ pub(crate) struct StartedElement {
 /// Spare pool: platform nodes for which `used` is false, ordered so
 /// `pop()` takes the most powerful first.
 pub(crate) fn spare_nodes(platform: &Platform, used: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-    let mut spares: Vec<NodeId> = platform
+    platform
         .ids_by_power_desc()
-        .into_iter()
+        .iter()
+        .rev()
+        .copied()
         .filter(|&id| !used(id))
-        .collect();
-    spares.reverse();
-    spares
+        .collect()
 }
 
 /// Returns a copy of `plan` with the platform node of `slot` replaced by
@@ -333,6 +333,30 @@ mod tests {
     use adept_hierarchy::builder::{balanced_two_level, star};
     use adept_hierarchy::xml::write_xml;
     use adept_platform::generator::lyon_cluster;
+
+    #[test]
+    fn spare_order_is_pinned() {
+        // `pop()` takes the most powerful unused node first, equal
+        // powers by lower id; the order is the sort-per-call code's.
+        use adept_platform::generator::heterogenized_cluster;
+        use adept_platform::{BackgroundLoad, CapacityProbe, MflopRate};
+        let platform = heterogenized_cluster(
+            "h",
+            24,
+            MflopRate(400.0),
+            BackgroundLoad::default(),
+            CapacityProbe::exact(),
+            3,
+        );
+        let mut spares = spare_nodes(&platform, |id| id.index() % 3 == 0);
+        let taken: Vec<usize> = std::iter::from_fn(|| spares.pop())
+            .map(|id| id.index())
+            .collect();
+        assert_eq!(
+            taken,
+            [4, 14, 17, 13, 16, 23, 7, 10, 11, 20, 1, 2, 5, 8, 19, 22]
+        );
+    }
 
     fn ids(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()

@@ -12,7 +12,11 @@ use std::sync::OnceLock;
 ///
 /// Node ids are dense (`0..node_count()`), assigned in insertion order.
 /// A platform never changes after construction, which is what lets it
-/// memoize its [`fingerprint`](Platform::fingerprint).
+/// memoize two derived values: its [`fingerprint`](Platform::fingerprint)
+/// and its [power order](Platform::ids_by_power_desc). Both memos start
+/// empty and fill on first use, so building a platform costs no hashing
+/// or sorting; the power order then holds 4 bytes per node (0.4 MB at
+/// n = 10⁵) for the platform's lifetime.
 #[derive(Debug, Clone)]
 pub struct Platform {
     nodes: Vec<Resource>,
@@ -20,10 +24,12 @@ pub struct Platform {
     network: Network,
     /// [`Platform::fingerprint`], filled on its first call.
     fingerprint: OnceLock<u64>,
+    /// [`Platform::ids_by_power_desc`], filled on its first call.
+    power_order: OnceLock<Box<[NodeId]>>,
 }
 
-/// Structural equality: the fingerprint memo is a cache of the other
-/// fields, so whether it is filled yet never makes two platforms differ.
+/// Structural equality: the memos are caches of the other fields, so
+/// whether they are filled yet never makes two platforms differ.
 impl PartialEq for Platform {
     fn eq(&self, other: &Platform) -> bool {
         self.nodes == other.nodes && self.sites == other.sites && self.network == other.network
@@ -96,6 +102,7 @@ impl PlatformBuilder {
             sites: self.sites,
             network: self.network,
             fingerprint: OnceLock::new(),
+            power_order: OnceLock::new(),
         })
     }
 }
@@ -166,21 +173,26 @@ impl Platform {
     }
 
     /// Node ids sorted by **descending computing power**, ties broken by id
-    /// for determinism. Useful to heuristics and reporting.
+    /// for determinism — the node order the planners derive theirs from.
+    ///
+    /// The order is memoized lazily: the first call sorts every node
+    /// (O(n log n)), later calls — and calls on clones made after it —
+    /// borrow the stored slice in O(1). Callers that need to own or
+    /// reorder it call `.to_vec()`.
     ///
     /// Powers are positive and finite, so their IEEE-754 bit patterns
-    /// order like the values; sorting `(bits, id)` integer pairs instead
-    /// of calling `power()` per comparison keeps this O(n log n) with
-    /// branch-light comparisons — it is the first step of every planner
-    /// at n = 10⁵–10⁶.
-    pub fn ids_by_power_desc(&self) -> Vec<NodeId> {
-        let mut keyed: Vec<(u64, NodeId)> = self
-            .nodes
-            .iter()
-            .map(|n| (n.power.value().to_bits(), n.id))
-            .collect();
-        keyed.sort_unstable_by_key(|&(bits, id)| (std::cmp::Reverse(bits), id));
-        keyed.into_iter().map(|(_, id)| id).collect()
+    /// order like the values; the one sort runs on `(bits, id)` integer
+    /// pairs with branch-light comparisons.
+    pub fn ids_by_power_desc(&self) -> &[NodeId] {
+        self.power_order.get_or_init(|| {
+            let mut keyed: Vec<(u64, NodeId)> = self
+                .nodes
+                .iter()
+                .map(|n| (n.power.value().to_bits(), n.id))
+                .collect();
+            keyed.sort_unstable_by_key(|&(bits, id)| (std::cmp::Reverse(bits), id));
+            keyed.into_iter().map(|(_, id)| id).collect()
+        })
     }
 
     /// Total computing power of the platform (Σ w_i).
@@ -294,7 +306,7 @@ impl Platform {
         }
         let ids = self.ids_by_power_desc();
         let mut nodes = Vec::with_capacity(k);
-        for (new_idx, id) in ids.into_iter().take(k).enumerate() {
+        for (new_idx, id) in ids.iter().take(k).enumerate() {
             let src = &self.nodes[id.index()];
             nodes.push(Resource::new(
                 NodeId(new_idx as u32),
@@ -308,6 +320,7 @@ impl Platform {
             sites: self.sites.clone(),
             network: self.network.clone(),
             fingerprint: OnceLock::new(),
+            power_order: OnceLock::new(),
         })
     }
 }
@@ -361,7 +374,7 @@ mod tests {
     fn sort_by_power_descending_breaks_ties_by_id() {
         let p = sample();
         let ids = p.ids_by_power_desc();
-        assert_eq!(ids, vec![NodeId(1), NodeId(2), NodeId(0)]);
+        assert_eq!(ids, [NodeId(1), NodeId(2), NodeId(0)]);
     }
 
     #[test]
@@ -371,7 +384,7 @@ mod tests {
         b.add_node("a", MflopRate(5.0), s).unwrap();
         b.add_node("b", MflopRate(5.0), s).unwrap();
         let p = b.build().unwrap();
-        assert_eq!(p.ids_by_power_desc(), vec![NodeId(0), NodeId(1)]);
+        assert_eq!(p.ids_by_power_desc(), [NodeId(0), NodeId(1)]);
     }
 
     #[test]

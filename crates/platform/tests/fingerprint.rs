@@ -1,15 +1,19 @@
-//! `Platform::fingerprint` is memoized, and every tenant journal on disk
-//! pins its value. These tests hold the memo to the byte stream it
-//! caches: an independent FNV-1a re-implementation built only from the
-//! public accessors, run over every generator, before and after
-//! `clone()`; plus hex literals that fail loudly if the stream changes.
+//! `Platform` memoizes two derived values: its fingerprint and its
+//! power order.
+//!
+//! Every tenant journal on disk pins the fingerprint. These tests hold
+//! that memo to the byte stream it caches: an independent FNV-1a
+//! re-implementation built only from the public accessors, run over
+//! every generator, before and after `clone()`; plus hex literals that
+//! fail loudly if the stream changes. The power order is held the same
+//! way to an independent sort, and neither memo may affect equality.
 
 use adept_platform::generator::{
     grid5000, heterogenized_cluster, homogeneous_cluster, homogeneous_cluster_with_bandwidth,
     lyon_cluster, multi_site_grid, uniform_random_cluster,
 };
 use adept_platform::{
-    BackgroundLoad, CapacityProbe, MbitRate, MflopRate, Network, Platform, Seconds,
+    BackgroundLoad, CapacityProbe, MbitRate, MflopRate, Network, NodeId, Platform, Seconds,
 };
 
 /// 64-bit FNV-1a over the documented stream: node count, then per node
@@ -121,6 +125,58 @@ fn memoized_fingerprint_matches_the_reference_byte_stream() {
         assert_eq!(fresh_clone.fingerprint(), expected, "{name}: clone before");
         // A clone taken after carries the filled memo along.
         assert_eq!(p.clone().fingerprint(), expected, "{name}: clone after");
+    }
+}
+
+/// Node ids by descending power, ties by ascending id, sorted with a
+/// plain comparator on the public accessors.
+fn reference_power_order(p: &Platform) -> Vec<NodeId> {
+    let mut ids: Vec<NodeId> = p.nodes().iter().map(|n| n.id).collect();
+    ids.sort_by(|&a, &b| {
+        p.power(b)
+            .value()
+            .partial_cmp(&p.power(a).value())
+            .unwrap()
+            .then(a.cmp(&b))
+    });
+    ids
+}
+
+#[test]
+fn memoized_power_order_matches_an_independent_sort() {
+    // Ulp-adjacent powers, ascending with the id, and exact ties.
+    let mut b = Platform::builder(Network::homogeneous(MbitRate(100.0)));
+    let s = b.add_site("x");
+    for i in 0..12u64 {
+        let w = f64::from_bits(400.0f64.to_bits() + i / 3);
+        b.add_node(format!("x-{i}"), MflopRate(w), s).unwrap();
+    }
+    let ulps = b.build().unwrap();
+    for (name, p) in every_generator().into_iter().chain([("ulps", ulps)]) {
+        let expected = reference_power_order(&p);
+        let fresh_clone = p.clone();
+        assert_eq!(p.ids_by_power_desc(), expected, "{name}: first call");
+        assert_eq!(p.ids_by_power_desc(), expected, "{name}: memoized call");
+        assert_eq!(
+            fresh_clone.ids_by_power_desc(),
+            expected,
+            "{name}: clone before"
+        );
+        assert_eq!(
+            p.clone().ids_by_power_desc(),
+            expected,
+            "{name}: clone after"
+        );
+    }
+}
+
+#[test]
+fn equality_ignores_the_power_order_memo() {
+    for (name, p) in every_generator() {
+        let filled = p.clone();
+        filled.ids_by_power_desc();
+        assert_eq!(filled, p, "{name}: filled == empty");
+        assert_eq!(p, filled, "{name}: empty == filled");
     }
 }
 

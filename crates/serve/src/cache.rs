@@ -5,25 +5,20 @@
 //! (same mix, demand vectors a few percent apart). [`PlanCache`] is one
 //! LRU, shared across every session and connection under a single lock,
 //! keyed by (platform fingerprint, mix signature, objective, quantized
-//! demand vector). It serves two tiers:
+//! demand vector). It has one tier: a hit is an entry whose stored
+//! demand vector bit-equals the query's. Because
+//! [`MixPlanner`](adept_core::planner::MixPlanner) is deterministic,
+//! returning the cached result is *bit-identical* to recomputing it, so
+//! hits are safe everywhere — including the journaled `register` answer
+//! path, whose replay recomputes cold and must land on the same plan.
+//! A miss plans cold: O(n) to derive the node order from the catalog's
+//! memoized power order, plus O(k log n) for the k servers placed.
 //!
-//! * **Exact tier** — the stored demand vector bit-equals the query's.
-//!   Because [`MixPlanner`](adept_core::planner::MixPlanner) is
-//!   deterministic, returning the cached result is *bit-identical* to
-//!   recomputing it, so exact hits are safe everywhere — including the
-//!   journaled `register` answer path, whose replay recomputes cold and
-//!   must land on the same plan.
-//! * **Near tier** — no exact entry, but a neighbor within
-//!   `NEAR_RADIUS` relative distance exists. The neighbor's plan is
-//!   served as a *revision starting point* (the caller revises it
-//!   toward the actual demand), never as an answer. Only the stateless
-//!   `plan` endpoint uses this tier; journaled paths stay exact-only.
-//!
-//! Only canonical cold-computed planner results are ever inserted —
-//! revised near-tier answers are not — so the cache can never drift
-//! away from what the planner would say. Resume/replay bypasses the
-//! cache entirely: replay correctness must not depend on what other
-//! tenants planned since the journal was written.
+//! Only canonical cold-computed planner results are ever inserted, so
+//! the cache can never drift away from what the planner would say.
+//! Resume/replay bypasses the cache entirely: replay correctness must
+//! not depend on what other tenants planned since the journal was
+//! written.
 //!
 //! Memory bound: at most `capacity` entries, each one deployment plan +
 //! assignment (O(servers) each), so the worst case is
@@ -39,11 +34,6 @@ use parking_lot::Mutex;
 /// Default entry capacity of a daemon's plan cache.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
-/// Maximum symmetric relative per-service distance for a near-tier hit:
-/// a neighbor further than this from the queried demand is a worse
-/// starting point than the incumbent-free cold planner.
-const NEAR_RADIUS: f64 = 0.5;
-
 /// Geometric quantization step (~5% buckets) for the demand key used to
 /// deduplicate insertions.
 const QUANT_STEP: f64 = 0.05;
@@ -58,10 +48,10 @@ pub struct CacheStats {
     pub entries: u64,
     /// Lookups answered bit-identically from a stored result.
     pub exact_hits: u64,
-    /// Lookups that found a revision starting point within the
-    /// near-tier radius.
+    /// Retired: always `0`, since the cache has no near tier. Kept so
+    /// clients reading the `near_hits` key of `status` keep parsing.
     pub near_hits: u64,
-    /// Lookups that found nothing usable.
+    /// Lookups that found no stored result.
     pub misses: u64,
     /// Canonical planner results stored (including replacements).
     pub insertions: u64,
@@ -117,22 +107,8 @@ struct Inner {
     clock: u64,
     entries: Vec<Entry>,
     exact_hits: u64,
-    near_hits: u64,
     misses: u64,
     insertions: u64,
-}
-
-/// What a [`PlanCache::lookup`] found.
-pub(crate) enum CacheLookup {
-    /// A stored result for bit-identical inputs — safe to return as the
-    /// answer on any path, journaled or not.
-    Exact(Box<MixPlan>),
-    /// A neighboring entry usable as a revision starting point. The
-    /// caller must still search toward the actual demand.
-    Near(Box<MixPlan>),
-    /// Nothing usable; plan cold (and [`insert`](PlanCache::insert) the
-    /// result).
-    Miss,
 }
 
 /// The daemon-wide shared plan cache. One lock, many tenants: every
@@ -164,7 +140,6 @@ impl PlanCache {
                     clock: 0,
                     entries: Vec::new(),
                     exact_hits: 0,
-                    near_hits: 0,
                     misses: 0,
                     insertions: 0,
                 },
@@ -172,61 +147,38 @@ impl PlanCache {
         }
     }
 
-    /// Looks up a planning question. `allow_near` enables the near tier
-    /// — only ever pass `true` on paths whose answers are not journaled
-    /// (the stateless `plan` endpoint).
+    /// Looks up a planning question: the stored result for bit-identical
+    /// inputs — safe to return as the answer on any path, journaled or
+    /// not — or `None`, in which case the caller plans cold (and
+    /// [`insert`](PlanCache::insert)s the result).
     pub(crate) fn lookup(
         &self,
         platform: &Platform,
         mix: &ServiceMix,
         objective: MixObjective,
         demand: &[f64],
-        allow_near: bool,
-    ) -> CacheLookup {
+    ) -> Option<MixPlan> {
         let mut inner = self.inner.lock();
         if inner.capacity == 0 {
-            return CacheLookup::Miss;
+            return None;
         }
         let key = Key::of(platform, mix, objective);
         inner.clock += 1;
         let clock = inner.clock;
-
-        if let Some(e) = inner
+        let hit = inner
             .entries
             .iter_mut()
             .find(|e| e.key == key && bits_eq(&e.demand, demand))
-        {
-            e.stamp = clock;
-            let result = Box::new(e.result.clone());
-            inner.exact_hits += 1;
-            return CacheLookup::Exact(result);
-        }
-
-        // Nearest neighbor under the same key: the entry minimizing the
-        // worst per-service symmetric relative distance. Unbounded
-        // demands never near-match — revising toward infinity from an
-        // arbitrary neighbor is not an acceleration.
-        if allow_near && demand.iter().all(|r| r.is_finite()) {
-            let mut best: Option<(f64, usize)> = None;
-            for (i, e) in inner.entries.iter().enumerate() {
-                if e.key != key || !e.demand.iter().all(|r| r.is_finite()) {
-                    continue;
-                }
-                let d = distance(&e.demand, demand);
-                if d <= NEAR_RADIUS && best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, i));
-                }
-            }
-            if let Some((_, i)) = best {
-                let e = &mut inner.entries[i];
+            .map(|e| {
                 e.stamp = clock;
-                let result = Box::new(e.result.clone());
-                inner.near_hits += 1;
-                return CacheLookup::Near(result);
-            }
+                e.result.clone()
+            });
+        if hit.is_some() {
+            inner.exact_hits += 1;
+        } else {
+            inner.misses += 1;
         }
-        inner.misses += 1;
-        CacheLookup::Miss
+        hit
     }
 
     /// Stores a canonical (cold-computed) planner result. Entries whose
@@ -286,7 +238,7 @@ impl PlanCache {
             capacity: inner.capacity as u64,
             entries: inner.entries.len() as u64,
             exact_hits: inner.exact_hits,
-            near_hits: inner.near_hits,
+            near_hits: 0,
             misses: inner.misses,
             insertions: inner.insertions,
         }
@@ -297,25 +249,6 @@ impl PlanCache {
 /// `-0.0`; demand validation upstream guarantees no NaN reaches here).
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Worst per-service symmetric relative distance between two finite
-/// demand vectors (`infinity` on arity mismatch, so it never matches).
-fn distance(a: &[f64], b: &[f64]) -> f64 {
-    if a.len() != b.len() {
-        return f64::INFINITY;
-    }
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let scale = x.abs().max(y.abs());
-            if scale == 0.0 {
-                0.0
-            } else {
-                (x - y).abs() / scale
-            }
-        })
-        .fold(0.0, f64::max)
 }
 
 /// Geometric demand bucket (~5% wide) for insertion dedup. Zero and
@@ -359,11 +292,9 @@ mod tests {
         let cache = PlanCache::new(8);
         cache.insert(&platform, &mix, MixObjective::WeightedMin, &demand, &got);
 
-        let CacheLookup::Exact(hit) =
-            cache.lookup(&platform, &mix, MixObjective::WeightedMin, &demand, false)
-        else {
-            panic!("bit-identical inputs must hit the exact tier");
-        };
+        let hit = cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &demand)
+            .expect("bit-identical inputs must hit");
         assert!(hit.plan.structurally_eq(&got.plan));
         assert_eq!(hit.assignment, got.assignment);
         assert_eq!(hit.report.rho.to_bits(), got.report.rho.to_bits());
@@ -373,42 +304,41 @@ mod tests {
     }
 
     #[test]
-    fn near_tier_serves_neighbors_only_when_allowed() {
+    fn neighbouring_demand_misses_plans_cold_then_hits_exactly() {
         let platform = generator::lyon_cluster(20);
         let mix = mix2();
-        let got = plan_for(&platform, &mix, &[2.0, 0.3]);
         let cache = PlanCache::new(8);
+        let stored = plan_for(&platform, &mix, &[2.0, 0.3]);
         cache.insert(
             &platform,
             &mix,
             MixObjective::WeightedMin,
             &[2.0, 0.3],
-            &got,
+            &stored,
         );
 
-        // 10% away: a near hit when allowed, a miss on exact-only paths.
+        // 10% away: no stored result, however close.
         let query = [2.2, 0.33];
-        assert!(matches!(
-            cache.lookup(&platform, &mix, MixObjective::WeightedMin, &query, true),
-            CacheLookup::Near(_)
-        ));
-        assert!(matches!(
-            cache.lookup(&platform, &mix, MixObjective::WeightedMin, &query, false),
-            CacheLookup::Miss
-        ));
-        // Far beyond the radius: always a miss.
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &mix,
-                MixObjective::WeightedMin,
-                &[20.0, 3.0],
-                true
-            ),
-            CacheLookup::Miss
-        ));
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &query)
+            .is_none());
+        let cold = plan_for(&platform, &mix, &query);
+        cache.insert(&platform, &mix, MixObjective::WeightedMin, &query, &cold);
+        let hit = cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &query)
+            .expect("the cold answer was inserted");
+        assert!(hit.plan.structurally_eq(&cold.plan));
+        assert_eq!(hit.report.rho.to_bits(), cold.report.rho.to_bits());
         let stats = cache.stats();
-        assert_eq!((stats.near_hits, stats.misses), (1, 2));
+        assert_eq!(
+            (
+                stats.exact_hits,
+                stats.near_hits,
+                stats.misses,
+                stats.entries
+            ),
+            (1, 0, 1, 2)
+        );
     }
 
     #[test]
@@ -426,34 +356,19 @@ mod tests {
             &got,
         );
 
-        assert!(matches!(
-            cache.lookup(&other, &mix, MixObjective::WeightedMin, &[2.0, 0.3], true),
-            CacheLookup::Miss
-        ));
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &mix,
-                MixObjective::WeightedSum,
-                &[2.0, 0.3],
-                true
-            ),
-            CacheLookup::Miss
-        ));
+        assert!(cache
+            .lookup(&other, &mix, MixObjective::WeightedMin, &[2.0, 0.3])
+            .is_none());
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedSum, &[2.0, 0.3])
+            .is_none());
         let heavier = ServiceMix::new(vec![
             (Dgemm::new(310).service(), 1.0),
             (Dgemm::new(1500).service(), 1.0),
         ]);
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &heavier,
-                MixObjective::WeightedMin,
-                &[2.0, 0.3],
-                true
-            ),
-            CacheLookup::Miss
-        ));
+        assert!(cache
+            .lookup(&platform, &heavier, MixObjective::WeightedMin, &[2.0, 0.3])
+            .is_none());
     }
 
     #[test]
@@ -481,16 +396,9 @@ mod tests {
             &plans[1],
         );
         // Touch the first entry, then overflow: the second is the LRU.
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &mix,
-                MixObjective::WeightedMin,
-                &demands[0],
-                false
-            ),
-            CacheLookup::Exact(_)
-        ));
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &demands[0])
+            .is_some());
         cache.insert(
             &platform,
             &mix,
@@ -499,26 +407,12 @@ mod tests {
             &plans[2],
         );
         assert_eq!(cache.stats().entries, 2);
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &mix,
-                MixObjective::WeightedMin,
-                &demands[0],
-                false
-            ),
-            CacheLookup::Exact(_)
-        ));
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &mix,
-                MixObjective::WeightedMin,
-                &demands[1],
-                false
-            ),
-            CacheLookup::Miss
-        ));
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &demands[0])
+            .is_some());
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &demands[1])
+            .is_none());
     }
 
     #[test]
@@ -546,26 +440,12 @@ mod tests {
         assert_eq!(stats.entries, 1, "bucket collisions replace");
         assert_eq!(stats.insertions, 2);
         // The replacement's exact demand is the live one.
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &mix,
-                MixObjective::WeightedMin,
-                &[2.01, 0.3],
-                false
-            ),
-            CacheLookup::Exact(_)
-        ));
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &mix,
-                MixObjective::WeightedMin,
-                &[2.0, 0.3],
-                false
-            ),
-            CacheLookup::Miss
-        ));
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &[2.01, 0.3])
+            .is_some());
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &[2.0, 0.3])
+            .is_none());
     }
 
     #[test]
@@ -581,21 +461,14 @@ mod tests {
             &[2.0, 0.3],
             &got,
         );
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &mix,
-                MixObjective::WeightedMin,
-                &[2.0, 0.3],
-                true
-            ),
-            CacheLookup::Miss
-        ));
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &[2.0, 0.3])
+            .is_none());
         assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
-    fn unbounded_demands_hit_exactly_but_never_near() {
+    fn unbounded_demands_hit_only_bit_identical_queries() {
         let platform = generator::lyon_cluster(20);
         let mix = mix2();
         let got = MixPlanner::default()
@@ -604,19 +477,11 @@ mod tests {
         let unbounded = [f64::INFINITY, f64::INFINITY];
         let cache = PlanCache::new(8);
         cache.insert(&platform, &mix, MixObjective::WeightedMin, &unbounded, &got);
-        assert!(matches!(
-            cache.lookup(&platform, &mix, MixObjective::WeightedMin, &unbounded, true),
-            CacheLookup::Exact(_)
-        ));
-        assert!(matches!(
-            cache.lookup(
-                &platform,
-                &mix,
-                MixObjective::WeightedMin,
-                &[5.0, 5.0],
-                true
-            ),
-            CacheLookup::Miss
-        ));
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &unbounded)
+            .is_some());
+        assert!(cache
+            .lookup(&platform, &mix, MixObjective::WeightedMin, &[5.0, 5.0])
+            .is_none());
     }
 }

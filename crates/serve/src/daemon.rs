@@ -17,7 +17,7 @@
 //! reported per-tenant in the `status` frame instead of aborting the
 //! whole daemon — one corrupt tenant must not take down the others.
 
-use crate::cache::{CacheLookup, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
+use crate::cache::{PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::error::ServeError;
 use crate::json::Json;
 use crate::session::{validate_tenant_id, TenantSession};
@@ -25,23 +25,31 @@ use crate::wire::{
     demand_field, err_response, executions_field, f64_array, objective_field, ok_response,
     services_field, str_field, DaemonStatus, PlanSummary, Request, SessionConfig,
 };
-use adept_core::model::mix::MixReport;
-use adept_core::planner::{MixObjective, MixPlan, MixPlanner, OnlinePlanner};
+use adept_core::planner::{MixObjective, MixPlan, MixPlanner};
 use adept_platform::Platform;
 use adept_workload::{MixDemand, ServiceMix};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often blocked reads and the accept loop re-check the shutdown
 /// flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Longest request line a connection buffers, newline excluded. A longer
+/// frame is answered with a `frame-too-large` error and the connection
+/// closes, so no client can grow the daemon's buffer without bound.
+const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// How long a rejected connection keeps draining the client's unread
+/// input before closing (see [`reject_oversized_frame`]).
+const LINGER: Duration = Duration::from_secs(1);
 
 /// Daemon startup configuration.
 #[derive(Debug, Clone)]
@@ -283,6 +291,9 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
         return;
     }
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` holds no newline: each byte is searched once, so
+    // a long line costs O(len), not O(len²) over its 4 KiB chunks.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
@@ -292,9 +303,16 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
             Ok(0) => return, // EOF
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+                let mut start = 0;
+                while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
+                    let end = scanned + off;
+                    scanned = end + 1;
+                    if end - start > MAX_FRAME_BYTES {
+                        reject_oversized_frame(&mut stream, state);
+                        return;
+                    }
+                    let line = String::from_utf8_lossy(&buf[start..end]).into_owned();
+                    start = scanned;
                     if line.trim().is_empty() {
                         continue;
                     }
@@ -308,14 +326,53 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
                         return;
                     }
                 }
+                buf.drain(..start);
+                scanned = buf.len();
+                if buf.len() > MAX_FRAME_BYTES {
+                    reject_oversized_frame(&mut stream, state);
+                    return;
+                }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
+            Err(e) if is_retry(&e) => continue,
+            Err(_) => return,
+        }
+    }
+}
+
+/// A read error that only means "nothing yet": the poll timeout fired or
+/// a signal interrupted the call.
+fn is_retry(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock
+            | std::io::ErrorKind::TimedOut
+            | std::io::ErrorKind::Interrupted
+    )
+}
+
+/// Answers a frame longer than [`MAX_FRAME_BYTES`] with a typed
+/// `frame-too-large` error, then ends the connection. Closing a socket
+/// with unread input resets it, which can discard the error frame before
+/// the client reads it; so the daemon half-closes and drains what the
+/// client is still sending, for at most [`LINGER`].
+fn reject_oversized_frame(stream: &mut TcpStream, state: &SharedState) {
+    let mut response = err_response(0, &ServeError::FrameTooLarge(MAX_FRAME_BYTES));
+    response.push('\n');
+    if stream
+        .write_all(response.as_bytes())
+        .and_then(|()| stream.flush())
+        .and_then(|()| stream.shutdown(Shutdown::Write))
+        .is_err()
+    {
+        return;
+    }
+    let deadline = Instant::now() + LINGER;
+    let mut sink = [0u8; 4096];
+    while Instant::now() < deadline && !state.shutdown.load(Ordering::SeqCst) {
+        match stream.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if is_retry(&e) => {}
             Err(_) => return,
         }
     }
@@ -434,18 +491,10 @@ fn plan(params: &Json, state: &Arc<SharedState>) -> Result<Json, ServeError> {
     ]))
 }
 
-/// Answers a stateless planning question through the shared cache.
-///
-/// Three outcomes, in preference order:
-///
-/// 1. **Exact hit** — the cache holds the canonical cold answer for
-///    bit-identical inputs; return it (deterministic planner ⇒ equal to
-///    recomputing).
-/// 2. **Near hit** — a neighboring entry seeds an unbounded-budget
-///    revision toward the queried demand: the search is accelerated,
-///    and the revised answer is *not* inserted (only canonical cold
-///    results populate the cache). A revision failure falls back cold.
-/// 3. **Miss** — plan cold and insert the result for the next caller.
+/// Answers a stateless planning question through the shared cache: an
+/// exact hit returns the canonical cold answer for bit-identical inputs
+/// (deterministic planner ⇒ equal to recomputing); a miss plans cold and
+/// inserts the result for the next caller.
 fn plan_with_cache(
     state: &Arc<SharedState>,
     platform: &Arc<Platform>,
@@ -454,43 +503,12 @@ fn plan_with_cache(
     demand: &MixDemand,
 ) -> Result<MixPlan, ServeError> {
     let rates: Vec<f64> = (0..demand.len()).map(|j| demand.rate(j)).collect();
-    let cold = |state: &Arc<SharedState>| -> Result<MixPlan, ServeError> {
-        let got = MixPlanner::with_objective(objective).plan_mix(platform, mix, demand)?;
-        state.cache.insert(platform, mix, objective, &rates, &got);
-        Ok(got)
-    };
-    match state.cache.lookup(platform, mix, objective, &rates, true) {
-        CacheLookup::Exact(hit) => Ok(*hit),
-        CacheLookup::Near(seed) => {
-            let reviser = OnlinePlanner {
-                max_changes: usize::MAX,
-                ..OnlinePlanner::default()
-            };
-            match reviser.replan_mix(platform, &seed.plan, mix, &seed.assignment, demand) {
-                Ok(replan) => Ok(MixPlan {
-                    objective_value: objective_value(objective, mix, &replan.report),
-                    plan: replan.plan,
-                    assignment: replan.assignment,
-                    report: replan.report,
-                }),
-                Err(_) => cold(state),
-            }
-        }
-        CacheLookup::Miss => cold(state),
+    if let Some(hit) = state.cache.lookup(platform, mix, objective, &rates) {
+        return Ok(hit);
     }
-}
-
-/// The serve-side mirror of the planner's objective scoring, computed
-/// from a [`MixReport`] (for near-tier revisions, whose reports come
-/// from the reviser rather than [`MixPlanner`]).
-fn objective_value(objective: MixObjective, mix: &ServiceMix, report: &MixReport) -> f64 {
-    match objective {
-        MixObjective::WeightedMin => report.rho,
-        MixObjective::WeightedSum => (0..mix.len())
-            .filter(|&j| mix.share(j) > 0.0)
-            .map(|j| mix.share(j) * report.rho_sched.min(report.rho_service[j]))
-            .sum(),
-    }
+    let got = MixPlanner::with_objective(objective).plan_mix(platform, mix, demand)?;
+    state.cache.insert(platform, mix, objective, &rates, &got);
+    Ok(got)
 }
 
 fn register(params: &Json, state: &Arc<SharedState>) -> Result<Json, ServeError> {
@@ -609,6 +627,44 @@ mod tests {
         }
         assert!(String::from_utf8_lossy(&line).contains("\"ok\":true"));
         stream
+    }
+
+    #[test]
+    fn oversized_frame_gets_a_typed_error_and_the_daemon_keeps_serving() {
+        let dir = std::env::temp_dir().join(format!("adept-daemon-frame-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let platform = generator::homogeneous_cluster("c", 4, adept_platform::MflopRate(100.0));
+        let handle = Daemon::start(ServeConfig::new(
+            "127.0.0.1:0",
+            &dir,
+            vec![("c".into(), platform)],
+        ))
+        .unwrap();
+        let addr = handle.addr();
+
+        // A 2 MiB line: the daemon answers once it has buffered past the
+        // cap, drains the rest, and hangs up. The write may fail once it
+        // does; only the answer matters.
+        let mut big = TcpStream::connect(addr).unwrap();
+        big.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut line = vec![b'x'; 2 * MAX_FRAME_BYTES];
+        line.push(b'\n');
+        let _ = big.write_all(&line);
+        let mut reply = Vec::new();
+        big.read_to_end(&mut reply).unwrap();
+        let reply = String::from_utf8(reply).unwrap();
+        assert_eq!(reply.matches('\n').count(), 1, "one frame, then EOF");
+        let frame = Json::parse(reply.trim_end()).unwrap();
+        let error = frame.get("error").expect("an error frame");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("frame-too-large")
+        );
+
+        // Another client on the same daemon is still answered.
+        drop(round_trip(addr));
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -23,6 +23,9 @@ use std::fmt;
 pub enum ErrorCode {
     /// The request line was not a valid protocol frame.
     BadFrame,
+    /// The request line exceeded the daemon's frame cap; the daemon
+    /// closes the connection after answering.
+    FrameTooLarge,
     /// The frame's `method` is not part of the protocol.
     UnknownMethod,
     /// A required field is missing or has the wrong type/value.
@@ -57,6 +60,7 @@ impl ErrorCode {
     pub fn as_str(self) -> &'static str {
         match self {
             ErrorCode::BadFrame => "bad-frame",
+            ErrorCode::FrameTooLarge => "frame-too-large",
             ErrorCode::UnknownMethod => "unknown-method",
             ErrorCode::BadRequest => "bad-request",
             ErrorCode::UnknownPlatform => "unknown-platform",
@@ -78,6 +82,7 @@ impl ErrorCode {
     pub fn from_wire(code: &str) -> Option<ErrorCode> {
         [
             ErrorCode::BadFrame,
+            ErrorCode::FrameTooLarge,
             ErrorCode::UnknownMethod,
             ErrorCode::BadRequest,
             ErrorCode::UnknownPlatform,
@@ -213,6 +218,9 @@ pub enum ServeError {
     /// The request line is not a valid frame (bad JSON, missing
     /// `method`, non-object params).
     BadFrame(String),
+    /// The request line is longer than the cap (in bytes) before its
+    /// newline.
+    FrameTooLarge(usize),
     /// The method is not part of the protocol.
     UnknownMethod(String),
     /// A field is missing, mistyped, or out of range.
@@ -244,6 +252,7 @@ impl ServeError {
     pub fn code(&self) -> ErrorCode {
         match self {
             ServeError::BadFrame(_) => ErrorCode::BadFrame,
+            ServeError::FrameTooLarge(_) => ErrorCode::FrameTooLarge,
             ServeError::UnknownMethod(_) => ErrorCode::UnknownMethod,
             ServeError::BadRequest(_) => ErrorCode::BadRequest,
             ServeError::UnknownPlatform(_) => ErrorCode::UnknownPlatform,
@@ -270,6 +279,12 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::BadFrame(msg) => write!(f, "bad frame: {msg}"),
+            ServeError::FrameTooLarge(cap) => {
+                write!(
+                    f,
+                    "request frame exceeds {cap} bytes; closing the connection"
+                )
+            }
             ServeError::UnknownMethod(m) => write!(f, "unknown method {m:?}"),
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             ServeError::UnknownPlatform(p) => write!(f, "unknown platform {p:?}"),
@@ -349,6 +364,7 @@ mod tests {
     fn every_code_roundtrips_through_its_wire_spelling() {
         let codes = [
             ErrorCode::BadFrame,
+            ErrorCode::FrameTooLarge,
             ErrorCode::UnknownMethod,
             ErrorCode::BadRequest,
             ErrorCode::UnknownPlatform,

@@ -60,8 +60,8 @@
 //! ([`ControllerConfig::warm_start`](adept_control::ControllerConfig),
 //! the daemon's [`ServeConfig::warm_start`] flag), and one [`PlanCache`]
 //! — shared by every tenant — answers repeated `plan`/`register`
-//! questions from canonical cached results (exact tier, bit-identical)
-//! or seeds a revision from a near neighbor (near tier, `plan` only).
+//! questions from canonical cached results (bit-identical inputs only;
+//! anything else plans cold).
 //! Replay bypasses both concerns: resume depends only on the journal,
 //! and warm answers are bit-equal to cold ones, so restart determinism
 //! is preserved — the restart tests assert it.

@@ -8,7 +8,7 @@
 //! daemon's unit of concurrency — it is `Send` and lives behind one
 //! mutex per tenant, so tenants never serialize against each other.
 
-use crate::cache::{CacheLookup, PlanCache};
+use crate::cache::PlanCache;
 use crate::error::{JournalError, ServeError};
 use crate::journal::{Journal, Record};
 use crate::wire::{
@@ -156,12 +156,8 @@ impl TenantSession {
         // deterministic, so an exact hit equals planning cold bit for
         // bit and replay — which always plans cold — still reproduces
         // the session.
-        let cached = cache.and_then(|c| {
-            match c.lookup(&platform, &mix, MixObjective::WeightedMin, &demand, false) {
-                CacheLookup::Exact(hit) => Some(*hit),
-                _ => None,
-            }
-        });
+        let cached =
+            cache.and_then(|c| c.lookup(&platform, &mix, MixObjective::WeightedMin, &demand));
         let initial = match cached {
             Some(hit) => hit,
             None => {

@@ -23,7 +23,7 @@ fn main() {
     //    a known node, convert to MFlop samples.
     let mut forecaster = ScalingForecaster::new();
     let cfg = SimConfig::ideal().with_windows(Seconds(1.0), Seconds(8.0));
-    let probe_ids: Vec<NodeId> = platform.ids_by_power_desc();
+    let probe_ids: Vec<NodeId> = platform.ids_by_power_desc().to_vec();
     for &n in &[40u32, 80, 120, 160] {
         let svc = Dgemm::new(n).service();
         let plan = builder::star(&probe_ids[0..2]);

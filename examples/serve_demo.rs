@@ -52,17 +52,17 @@ fn main() {
         plan.servers, plan.agents, plan.rho, objective
     );
     // The same question again hits the shared plan cache exactly; a
-    // nearby demand is answered by revising the cached neighbor.
+    // nearby demand misses and is planned cold, then cached too.
     client
         .plan("lyon40", &services(), Some(&[2.0, 0.3]))
         .expect("cached");
     client
         .plan("lyon40", &services(), Some(&[2.1, 0.32]))
-        .expect("revised from the cached neighbor");
+        .expect("planned cold");
     let cache = client.status().expect("status").cache;
     println!(
-        "plan cache: {} exact hit(s), {} near hit(s), {} miss(es), {} entries",
-        cache.exact_hits, cache.near_hits, cache.misses, cache.entries
+        "plan cache: {} exact hit(s), {} miss(es), {} entries",
+        cache.exact_hits, cache.misses, cache.entries
     );
 
     // ---- Two tenants share the catalog, each with its own loop.
