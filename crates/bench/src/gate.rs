@@ -85,8 +85,9 @@ pub const CEILINGS: &[(&str, f64)] = &[
     // The accelerated mix composition walk (composition + agent-count
     // grid, warm incumbents, dominance pruning) must keep the 4-service
     // reference computable at production scale: ≤ 2 s at n = 10⁴
-    // (measured ~230 ms locally, so the ceiling fails CI long before
-    // the grid or the warm seeding could silently stop engaging).
+    // (measured 50–95 ms on a shared 2-vCPU host, so the ceiling fails
+    // CI long before the grid or the warm seeding could silently stop
+    // engaging).
     ("mix_sweep_scaling/accel-4svc/10000", 2_000_000_000.0),
     // A warm steady-state replan round is a memoized no-change answer:
     // O(services) plus the tick's forecaster/trigger bookkeeping,

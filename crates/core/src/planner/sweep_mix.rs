@@ -66,8 +66,18 @@
 //! walk cost, so only the grid lines `1, 1 + k_block, …` are swept.
 //! The gridded winner is then **refined**: a local hill climb over ±1
 //! agents (at the same composition), ±1 digits, and single-server
-//! digit-to-digit moves (each candidate scored by a fresh bit-exact
-//! replay) until a fixed point, bounded by `MAX_REFINE_STEPS`.
+//! digit-to-digit moves until a fixed point, bounded by
+//! `MAX_REFINE_STEPS`. Each agent count the climb reads keeps one
+//! committed agents-only engine; a candidate is dealt onto it, scored,
+//! and rewound with `undo_all`, whose bit-exact restore makes every
+//! score equal a fresh replay.
+//!
+//! The waterfill schedule behind all of this — which agent takes each
+//! child slot — depends only on the agent count, and is **extended on
+//! demand**: its heap is popped only up to the deepest server position
+//! the walk, the climb or the winner replay actually reads, not for all
+//! `n − k` servers the family could place (at n = 10⁴ the deepest walk
+//! places a few hundred of ~3000).
 //!
 //! # Layer 3 — warm incumbents and dominance pruning
 //!
@@ -91,7 +101,10 @@
 //!
 //! Every visited grid point lands in exactly one [`SweepStats`] bucket
 //! (`visited == expanded + pruned()` is a tested invariant), so the
-//! speedup is observable rather than asserted; the
+//! speedup is observable rather than asserted. The answer never depends
+//! on the worker count; the counters do — parallel workers prune
+//! against a shared incumbent whose timing varies run to run — so they
+//! repeat exactly only on the sequential path. The
 //! [`time_budget`](SweepPlanner::time_budget) anytime knob bounds the
 //! walk by wall clock and raises [`SweepStats::truncated`].
 //!
@@ -186,9 +199,14 @@ const DEADLINE_CHECK_INTERVAL: u64 = 32;
 /// Search telemetry for one [`best_mix_plan_stats`] call: where the
 /// composition walk spent (and saved) its nodes. Every visited grid
 /// point is counted in **exactly one** of the four outcome buckets, so
-/// `visited == expanded + pruned()` always holds; parallel sweeps sum
-/// worker-local stats (order-independent), so the counters are
-/// deterministic for a fixed configuration.
+/// `visited == expanded + pruned()` always holds, on every path.
+///
+/// The counters are deterministic only on the sequential path
+/// (`parallel: false`, or a single worker). Parallel workers prune
+/// against a shared incumbent, so how much each prunes depends on
+/// thread timing: two runs of the same configuration can report
+/// different counts while returning the same answer. Compare counters
+/// across runs only from sequential sweeps.
 ///
 /// [`best_mix_plan_stats`]: SweepPlanner::best_mix_plan_stats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -329,60 +347,141 @@ struct MixCtx<'a> {
     deadline: Option<Instant>,
 }
 
-/// The waterfill schedule for a fixed agent count: which agent receives
-/// each child slot, and how many agents still sit at degree zero after
-/// each server. Depends only on `(k, total children)` — never on the
-/// services — so it is simulated once per `k` and shared by every
-/// composition.
-struct Waterfill {
+/// The waterfill schedule for a fixed agent count, extended on demand:
+/// which agent receives each child slot, and how many agents still sit
+/// at degree zero after each server. It depends only on `k` and the
+/// position `t` — never on the services or on how many servers the
+/// family could place — so one schedule per `k` serves every
+/// composition. The heap is popped only up to the highest `t` read: a
+/// walk that places ~100 of ~3000 possible servers pays for ~100 pops.
+struct Waterfill<'a> {
+    params: &'a ModelParams,
+    agent_powers: &'a [f64],
+    heap: BinaryHeap<HeapEntry>,
+    degrees: Vec<usize>,
+    /// Agents at degree zero after every pop so far.
+    zero: usize,
     /// Agent receiving each of the `k − 1` non-root agents' child slots.
     agent_parents: Vec<usize>,
-    /// Agent receiving the `t`-th server (0-based).
+    /// Agent receiving the `t`-th server (0-based), for every `t` read.
     server_parents: Vec<usize>,
-    /// Zero-degree agents after `t` servers (`zero_after[t]`, `t ≤ s`);
-    /// a configuration with any is dominated by a smaller `k`.
+    /// Zero-degree agents after `t` servers; one entry longer than
+    /// `server_parents`. A configuration with any is dominated by a
+    /// smaller `k`.
     zero_after: Vec<usize>,
 }
 
-fn waterfill(params: &ModelParams, agent_powers: &[f64], s_max: usize) -> Waterfill {
-    let k = agent_powers.len();
-    let mut degrees = vec![0usize; k];
-    let mut zero = k;
-    let mut heap: BinaryHeap<HeapEntry> = (0..k)
-        .map(|i| HeapEntry {
-            sp_after: sch_pow(params, MflopRate(agent_powers[i]), 1),
-            agent: i,
-        })
-        .collect();
-    let mut pop_next = |degrees: &mut [usize], zero: &mut usize| -> usize {
-        let top = heap.pop().expect("k >= 1 agents in the heap");
-        let i = top.agent;
-        if degrees[i] == 0 {
-            *zero -= 1;
+impl<'a> Waterfill<'a> {
+    /// The schedule for `agent_powers.len() ≥ 1` agents, with the
+    /// `k − 1` agent slots already dealt and no server yet.
+    fn new(params: &'a ModelParams, agent_powers: &'a [f64]) -> Self {
+        let k = agent_powers.len();
+        let heap = (0..k)
+            .map(|i| HeapEntry {
+                sp_after: sch_pow(params, MflopRate(agent_powers[i]), 1),
+                agent: i,
+            })
+            .collect();
+        let mut wf = Waterfill {
+            params,
+            agent_powers,
+            heap,
+            degrees: vec![0; k],
+            zero: k,
+            agent_parents: Vec::with_capacity(k.saturating_sub(1)),
+            server_parents: Vec::new(),
+            zero_after: Vec::new(),
+        };
+        for _ in 1..k {
+            let a = wf.pop_next();
+            wf.agent_parents.push(a);
         }
-        degrees[i] += 1;
-        heap.push(HeapEntry {
-            sp_after: sch_pow(params, MflopRate(agent_powers[i]), degrees[i] + 1),
+        wf.zero_after.push(wf.zero);
+        wf
+    }
+
+    /// Hands the next child slot to the agent whose scheduling power
+    /// stays highest after taking it.
+    fn pop_next(&mut self) -> usize {
+        let top = self.heap.pop().expect("k >= 1 agents in the heap");
+        let i = top.agent;
+        if self.degrees[i] == 0 {
+            self.zero -= 1;
+        }
+        self.degrees[i] += 1;
+        self.heap.push(HeapEntry {
+            sp_after: sch_pow(
+                self.params,
+                MflopRate(self.agent_powers[i]),
+                self.degrees[i] + 1,
+            ),
             agent: i,
         });
         i
-    };
-    let agent_parents: Vec<usize> = (0..k - 1)
-        .map(|_| pop_next(&mut degrees, &mut zero))
-        .collect();
-    let mut zero_after = Vec::with_capacity(s_max + 1);
-    zero_after.push(zero);
-    let server_parents: Vec<usize> = (0..s_max)
-        .map(|_| {
-            let p = pop_next(&mut degrees, &mut zero);
-            zero_after.push(zero);
-            p
-        })
-        .collect();
-    Waterfill {
-        agent_parents,
-        server_parents,
-        zero_after,
+    }
+
+    /// Pops until the schedule covers the first `servers` servers.
+    fn extend_to(&mut self, servers: usize) {
+        while self.server_parents.len() < servers {
+            let p = self.pop_next();
+            self.server_parents.push(p);
+            self.zero_after.push(self.zero);
+        }
+    }
+
+    /// Agent receiving the `t`-th server (0-based).
+    fn parent_of(&mut self, t: usize) -> usize {
+        self.extend_to(t + 1);
+        self.server_parents[t]
+    }
+
+    /// Zero-degree agents once `t` servers are placed.
+    fn zero_after(&mut self, t: usize) -> usize {
+        self.extend_to(t);
+        self.zero_after[t]
+    }
+}
+
+/// One agent count's committed agents-only engine and its schedule. A
+/// configuration is dealt on top with [`deal`](Self::deal) and rewound
+/// with `undo_all`, which restores every cached float bit for bit — so
+/// each configuration scores exactly as on a fresh engine build.
+struct AgentFrame<'a> {
+    k: usize,
+    wf: Waterfill<'a>,
+    eval: IncrementalEval,
+}
+
+impl<'a> AgentFrame<'a> {
+    fn new(ctx: &'a MixCtx<'_>, k: usize) -> Self {
+        let wf = Waterfill::new(ctx.params, &ctx.powers[..k]);
+        let mut eval =
+            IncrementalEval::from_agents_mix(ctx.params, ctx.platform, &ctx.nodes[..k], ctx.mix);
+        for &a in &wf.agent_parents {
+            eval.assign_child_slot(Slot(a)).expect("agents exist");
+        }
+        eval.commit();
+        AgentFrame { k, wf, eval }
+    }
+
+    /// Deals `counts[d]` servers to candidate `d`, in candidate order,
+    /// strongest remaining node first (the walk's dealing).
+    fn deal(&mut self, ctx: &MixCtx<'_>, counts: &[usize]) {
+        let mut t = 0usize;
+        for (d, &count) in counts.iter().enumerate() {
+            for _ in 0..count {
+                let idx = self.k + t;
+                self.eval
+                    .add_server_for(
+                        Slot(self.wf.parent_of(t)),
+                        ctx.nodes[idx],
+                        MflopRate(ctx.powers[idx]),
+                        ctx.candidates[d],
+                    )
+                    .expect("sweep nodes are unused");
+                t += 1;
+            }
+        }
     }
 }
 
@@ -396,8 +495,7 @@ struct MixWalk<'a, 'b> {
     eval: &'b mut IncrementalEval,
     k: usize,
     s_max: usize,
-    server_parents: &'b [usize],
-    zero_after: &'b [usize],
+    wf: &'b mut Waterfill<'a>,
     incumbent: f64,
     /// Servers placed so far along the current prefix.
     t: usize,
@@ -576,9 +674,10 @@ impl MixWalk<'_, '_> {
             let take = if c == 0 { 1 } else { step.min(cmax - c) };
             for _ in 0..take {
                 let idx = self.k + self.t;
+                let parent = self.wf.parent_of(self.t);
                 self.eval
                     .add_server_for(
-                        Slot(self.server_parents[self.t]),
+                        Slot(parent),
                         self.ctx.nodes[idx],
                         MflopRate(self.ctx.powers[idx]),
                         svc,
@@ -591,7 +690,7 @@ impl MixWalk<'_, '_> {
             self.counts[depth] = c;
             self.stats.visited += 1;
             if last {
-                if self.zero_after[self.t] > 0 {
+                if self.wf.zero_after(self.t) > 0 {
                     // Some agent never attracted a child: dominated by
                     // a smaller k.
                     self.stats.pruned_by_dominance += 1;
@@ -654,20 +753,14 @@ fn scan_k_mix(
     if s_max < parts {
         return None;
     }
-    let wf = waterfill(ctx.params, &ctx.powers[..k], s_max);
-    let mut eval =
-        IncrementalEval::from_agents_mix(ctx.params, ctx.platform, &ctx.nodes[..k], ctx.mix);
-    for &a in &wf.agent_parents {
-        eval.assign_child_slot(Slot(a)).expect("agents exist");
-    }
-    eval.commit();
+    // The walk adds and undoes on the frame's engine itself.
+    let mut frame = AgentFrame::new(ctx, k);
     let mut walk = MixWalk {
         ctx,
-        eval: &mut eval,
+        eval: &mut frame.eval,
         k,
         s_max,
-        server_parents: &wf.server_parents,
-        zero_after: &wf.zero_after,
+        wf: &mut frame.wf,
         incumbent,
         t: 0,
         counts: vec![0; parts],
@@ -731,45 +824,41 @@ fn refine_k_window(
 /// (first wins ties) until a fixed point, [`MAX_REFINE_STEPS`], or the
 /// deadline. The agent moves are what make the `k_block` stride safe —
 /// they walk the winner off its grid line to the local k optimum.
-/// Every candidate is scored by a fresh replay — the exact computation
-/// the final winner replay performs — so the refined objective stays
-/// bit-consistent with the returned plan.
+/// Every candidate is dealt onto its agent count's committed
+/// [`AgentFrame`], scored, and rewound with `undo_all`: the rewind is
+/// bit-exact, so each score equals a fresh replay — the computation the
+/// final winner replay performs — and the refined objective stays
+/// bit-consistent with the returned plan. Only the frames for
+/// `agents − 1 ..= agents + 1` are ever read, so at most four live.
 fn refine_cfg(ctx: &MixCtx<'_>, cfg: &mut KMixBest, stats: &mut SweepStats) {
     let parts = ctx.candidates.len();
     let n = ctx.nodes.len();
-    let score = |k: usize, counts: &[usize]| -> Option<f64> {
+    let mut frames: Vec<AgentFrame<'_>> = Vec::with_capacity(4);
+    let mut score = |k: usize, counts: &[usize]| -> Option<f64> {
         if k == 0 || n < k + parts || counts.contains(&0) {
             return None;
         }
-        let s_max = n - k;
         let total: usize = counts.iter().sum();
-        if total > s_max {
+        if total > n - k {
             return None;
         }
-        let wf = waterfill(ctx.params, &ctx.powers[..k], s_max);
-        if wf.zero_after[total] > 0 {
-            return None;
-        }
-        let mut eval =
-            IncrementalEval::from_agents_mix(ctx.params, ctx.platform, &ctx.nodes[..k], ctx.mix);
-        for &a in &wf.agent_parents {
-            eval.assign_child_slot(Slot(a)).expect("agents exist");
-        }
-        let mut t = 0usize;
-        for (d, &cnt) in counts.iter().enumerate() {
-            for _ in 0..cnt {
-                let idx = k + t;
-                eval.add_server_for(
-                    Slot(wf.server_parents[t]),
-                    ctx.nodes[idx],
-                    MflopRate(ctx.powers[idx]),
-                    ctx.candidates[d],
-                )
-                .expect("sweep nodes are unused");
-                t += 1;
+        let at = match frames.iter().position(|f| f.k == k) {
+            Some(at) => at,
+            None => {
+                // The climb moved past the frames two agents away.
+                frames.retain(|f| f.k.abs_diff(k) <= 2);
+                frames.push(AgentFrame::new(ctx, k));
+                frames.len() - 1
             }
+        };
+        let frame = &mut frames[at];
+        if frame.wf.zero_after(total) > 0 {
+            return None;
         }
-        Some(objective_score(ctx.objective, &eval))
+        frame.deal(ctx, counts);
+        let sc = objective_score(ctx.objective, &frame.eval);
+        frame.eval.undo_all();
+        Some(sc)
     };
     for _ in 0..MAX_REFINE_STEPS {
         if past_deadline(ctx.deadline) {
@@ -1257,29 +1346,11 @@ impl SweepPlanner {
             refine_cfg(&ctx, &mut cfg, stats);
         }
 
-        // Replay the winner (bit-exact: the walk's undos rewind exactly,
-        // and the refiner scores by this same replay).
-        let wf = waterfill(params, &ctx.powers[..cfg.agents], n - cfg.agents);
-        let mut eval =
-            IncrementalEval::from_agents_mix(params, platform, &nodes[..cfg.agents], mix);
-        for &a in &wf.agent_parents {
-            eval.assign_child_slot(Slot(a)).expect("agents exist");
-        }
-        let mut t = 0usize;
-        for (d, &count) in cfg.counts.iter().enumerate() {
-            for _ in 0..count {
-                let idx = cfg.agents + t;
-                eval.add_server_for(
-                    Slot(wf.server_parents[t]),
-                    nodes[idx],
-                    MflopRate(ctx.powers[idx]),
-                    candidates[d],
-                )
-                .expect("sweep nodes are unused");
-                t += 1;
-            }
-        }
-        eval.commit();
+        // Replay the winner (bit-exact: the walk's and the refiner's
+        // undos rewind exactly, so this equals the scanned score).
+        let mut frame = AgentFrame::new(&ctx, cfg.agents);
+        frame.deal(&ctx, &cfg.counts);
+        let eval = frame.eval;
         debug_assert_eq!(
             objective_score(objective, &eval).to_bits(),
             cfg.objective.to_bits(),
@@ -1486,7 +1557,10 @@ mod tests {
     use adept_hierarchy::validate::{validate_assignment, validate_relaxed};
     use adept_platform::generator::{heterogenized_cluster, lyon_cluster, multi_site_grid};
     use adept_platform::{BackgroundLoad, CapacityProbe, MbitRate, SiteId};
+    use adept_platform::{Mbit, Mflop, Seconds};
     use adept_workload::Dgemm;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::time::Duration;
 
     fn mix2() -> ServiceMix {
@@ -1496,12 +1570,151 @@ mod tests {
         ])
     }
 
+    /// The eager schedule the on-demand [`Waterfill`] replaced: all
+    /// `s_max` servers simulated up front, by an independent heap loop.
+    /// Kept as the oracle the on-demand schedule is checked against.
+    struct EagerWaterfill {
+        agent_parents: Vec<usize>,
+        server_parents: Vec<usize>,
+        zero_after: Vec<usize>,
+    }
+
+    fn waterfill(params: &ModelParams, agent_powers: &[f64], s_max: usize) -> EagerWaterfill {
+        let k = agent_powers.len();
+        let mut degrees = vec![0usize; k];
+        let mut zero = k;
+        let mut heap: BinaryHeap<HeapEntry> = (0..k)
+            .map(|i| HeapEntry {
+                sp_after: sch_pow(params, MflopRate(agent_powers[i]), 1),
+                agent: i,
+            })
+            .collect();
+        let mut pop_next = |degrees: &mut [usize], zero: &mut usize| -> usize {
+            let top = heap.pop().expect("k >= 1 agents in the heap");
+            let i = top.agent;
+            if degrees[i] == 0 {
+                *zero -= 1;
+            }
+            degrees[i] += 1;
+            heap.push(HeapEntry {
+                sp_after: sch_pow(params, MflopRate(agent_powers[i]), degrees[i] + 1),
+                agent: i,
+            });
+            i
+        };
+        let agent_parents: Vec<usize> = (0..k - 1)
+            .map(|_| pop_next(&mut degrees, &mut zero))
+            .collect();
+        let mut zero_after = Vec::with_capacity(s_max + 1);
+        zero_after.push(zero);
+        let server_parents: Vec<usize> = (0..s_max)
+            .map(|_| {
+                let p = pop_next(&mut degrees, &mut zero);
+                zero_after.push(zero);
+                p
+            })
+            .collect();
+        EagerWaterfill {
+            agent_parents,
+            server_parents,
+            zero_after,
+        }
+    }
+
     fn mix3() -> ServiceMix {
         ServiceMix::new(vec![
             (Dgemm::new(220).service(), 2.0),
             (Dgemm::new(310).service(), 1.0),
             (Dgemm::new(450).service(), 1.0),
         ])
+    }
+
+    fn mix4() -> ServiceMix {
+        ServiceMix::new(vec![
+            (Dgemm::new(100).service(), 4.0),
+            (Dgemm::new(220).service(), 2.0),
+            (Dgemm::new(310).service(), 1.0),
+            (Dgemm::new(450).service(), 1.0),
+        ])
+    }
+
+    /// Model parameters with every agent-side input the schedule reads
+    /// drawn at random around the paper's calibration.
+    fn random_params(rng: &mut StdRng) -> ModelParams {
+        let mut params = ModelParams::new(MbitRate(rng.gen_range(1.0..1000.0)))
+            .with_latency(Seconds(rng.gen_range(0.0..1e-3)));
+        let agent = &mut params.calibration.agent;
+        agent.wreq = Mflop(agent.wreq.0 * rng.gen_range(0.1..10.0));
+        agent.wsel = Mflop(agent.wsel.0 * rng.gen_range(0.1..10.0));
+        agent.wfix = Mflop(agent.wfix.0 * rng.gen_range(0.1..10.0));
+        agent.sreq = Mbit(agent.sreq.0 * rng.gen_range(0.1..10.0));
+        agent.srep = Mbit(agent.srep.0 * rng.gen_range(0.1..10.0));
+        params
+    }
+
+    /// The on-demand schedule answers every read exactly as the eager
+    /// oracle does, whatever the read order — ascending, jumping ahead,
+    /// or re-reading earlier positions — including one agent and t = 0.
+    #[test]
+    fn on_demand_schedule_matches_the_eager_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x0057_ea11);
+        for case in 0..300 {
+            let params = random_params(&mut rng);
+            let k = if case % 7 == 0 {
+                1
+            } else {
+                rng.gen_range(1..48usize)
+            };
+            let mut powers: Vec<f64> = (0..k).map(|_| rng.gen_range(10.0..2000.0)).collect();
+            if case % 2 == 0 {
+                // The sweep's own agents are strongest first.
+                powers.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            } else if case % 3 == 0 {
+                // Equal powers: every pop is decided by the index tie-break.
+                let first = powers[0];
+                powers.fill(first);
+            }
+            let s_max = rng.gen_range(0..400usize);
+            let eager = waterfill(&params, &powers, s_max);
+            let mut wf = Waterfill::new(&params, &powers);
+            assert_eq!(wf.agent_parents, eager.agent_parents, "case {case}: agents");
+            let reads: Vec<usize> = match case % 3 {
+                0 => (0..=s_max).collect(),
+                1 => {
+                    let mut t = 0;
+                    let mut v = vec![0];
+                    while t < s_max {
+                        t = (t + rng.gen_range(1..=s_max.max(1) / 3 + 1)).min(s_max);
+                        v.push(t);
+                    }
+                    v
+                }
+                _ => (0..64).map(|_| rng.gen_range(0..=s_max)).collect(),
+            };
+            for t in reads {
+                assert_eq!(
+                    wf.zero_after(t),
+                    eager.zero_after[t],
+                    "case {case}: zero_after({t})"
+                );
+                if t < s_max {
+                    assert_eq!(
+                        wf.parent_of(t),
+                        eager.server_parents[t],
+                        "case {case}: parent_of({t})"
+                    );
+                }
+            }
+            assert_eq!(
+                wf.zero_after(0),
+                eager.zero_after[0],
+                "case {case}: re-read t = 0"
+            );
+            assert_eq!(
+                wf.agent_parents, eager.agent_parents,
+                "case {case}: agents after reads"
+            );
+        }
     }
 
     /// Brute-force composition list: every vector in `{1..=total}^parts`
@@ -1779,6 +1992,90 @@ mod tests {
                 );
                 assert!(par.plan.structurally_eq(&seq.plan));
                 assert_eq!(par.assignment, seq.assignment);
+            }
+        }
+    }
+
+    /// The same parity where the composition grid, the k window and the
+    /// hill climb run (above `MIX_GRID_THRESHOLD` swept nodes): 2-, 3-
+    /// and 4-service mixes at n = 150 and 400, both objectives, 2 and 5
+    /// workers. The answer must not depend on the worker count even
+    /// though the workers' pruning does.
+    #[test]
+    fn parallel_and_sequential_agree_where_the_grid_runs() {
+        let platforms = [
+            heterogenized_cluster(
+                "orsay",
+                150,
+                adept_platform::MflopRate(400.0),
+                BackgroundLoad::default(),
+                CapacityProbe::exact(),
+                5,
+            ),
+            adept_platform::generator::uniform_random_cluster(
+                "u",
+                400,
+                adept_platform::MflopRate(100.0),
+                adept_platform::MflopRate(400.0),
+                3,
+            ),
+        ];
+        for platform in &platforms {
+            assert!(platform.node_count() > MIX_GRID_THRESHOLD);
+            for mix in [mix2(), mix3(), mix4()] {
+                for objective in [MixObjective::WeightedMin, MixObjective::WeightedSum] {
+                    let seq = SweepPlanner::sequential()
+                        .best_mix_plan(platform, &mix, objective)
+                        .unwrap();
+                    for workers in [2usize, 5] {
+                        let par = SweepPlanner::with_threads(workers)
+                            .best_mix_plan(platform, &mix, objective)
+                            .unwrap();
+                        let case = format!(
+                            "n={} services={} {objective:?} workers={workers}",
+                            platform.node_count(),
+                            mix.len()
+                        );
+                        assert_eq!(
+                            par.objective_value.to_bits(),
+                            seq.objective_value.to_bits(),
+                            "{case}: {} != {}",
+                            par.objective_value,
+                            seq.objective_value
+                        );
+                        assert!(par.plan.structurally_eq(&seq.plan), "{case}: plans differ");
+                        assert_eq!(par.assignment, seq.assignment, "{case}: assignments differ");
+                    }
+                }
+            }
+        }
+    }
+
+    /// On the sequential path the telemetry is as deterministic as the
+    /// answer: two calls report the same counters, field for field.
+    #[test]
+    fn sequential_stats_repeat_exactly() {
+        let platform = heterogenized_cluster(
+            "orsay",
+            150,
+            adept_platform::MflopRate(400.0),
+            BackgroundLoad::default(),
+            CapacityProbe::exact(),
+            5,
+        );
+        for mix in [mix2(), mix4()] {
+            for objective in [MixObjective::WeightedMin, MixObjective::WeightedSum] {
+                let run = || {
+                    SweepPlanner::sequential()
+                        .best_mix_plan_stats(&platform, &mix, objective)
+                        .unwrap()
+                };
+                let (a, first) = run();
+                let (b, second) = run();
+                assert_eq!(first, second, "{objective:?}: sequential stats differ");
+                assert_eq!(a.objective_value.to_bits(), b.objective_value.to_bits());
+                assert!(first.visited > 0);
+                assert_eq!(first.visited, first.expanded + first.pruned());
             }
         }
     }
